@@ -17,8 +17,11 @@ cargo run -q --release -p voxel-lint -- --json results/lint.json --max-seconds 1
 echo "==> voxel-lint api-baseline (pub-surface diff vs lint/api-baseline.txt)"
 cargo run -q --release -p voxel-lint -- --only api
 
-echo "==> cargo test -q -p voxel-lint -p voxel-quic (lint self-tests + property tests)"
-cargo test -q -p voxel-lint -p voxel-quic
+echo "==> cargo test -q --workspace (every crate's unit, property and integration tests)"
+cargo test -q --workspace
+
+echo "==> perfbench parity (traced driver vs Experiment::run_trial, metric names)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q --features paranoid (runtime invariant audits)"
 cargo test -q --features paranoid

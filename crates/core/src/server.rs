@@ -88,12 +88,12 @@ impl ServerApp {
     }
 
     /// Turn serve-note recording on or off (see [`ServeNote`]).
-    pub fn record_serve_notes(&mut self, on: bool) {
+    pub(crate) fn record_serve_notes(&mut self, on: bool) {
         self.record_notes = on;
     }
 
     /// Drain the notes recorded since the last call, in serve order.
-    pub fn take_serve_notes(&mut self) -> Vec<ServeNote> {
+    pub(crate) fn take_serve_notes(&mut self) -> Vec<ServeNote> {
         std::mem::take(&mut self.notes)
     }
 

@@ -1,14 +1,18 @@
 //! One playback trial: client ⇄ (bottleneck path) ⇄ server, in virtual time.
 //!
-//! The deterministic event loop owns both QUIC\* endpoints, the server and
-//! client applications, and the emulated path. Each iteration drains
-//! application logic and transmissions, then advances virtual time to the
-//! earliest pending event (datagram delivery, transport timer, or the
-//! player's 100 ms tick).
+//! [`Kernel`] is the one client/server event loop, shared by single
+//! sessions and fleet members. It owns both QUIC\* endpoints, the server
+//! and client applications, and their private event queue. Each iteration
+//! drains application logic and transmissions, then advances virtual time
+//! to the earliest pending event (datagram delivery, transport timer, or
+//! the player's 100 ms tick). Where a sent datagram goes is the caller's
+//! [`Wire`]: [`Session`] carries it over a [`BottleneckPath`] and an
+//! optional fault plane; a fleet member hands its downlink to the shared
+//! link and keeps the uplink delay-only.
 
 use crate::client::{ClientApp, PlayerConfig, TransportMode};
 use crate::metrics::{TransportStats, TrialResult};
-use crate::server::ServerApp;
+use crate::server::{ServeNote, ServerApp};
 use bytes::Bytes;
 use std::sync::Arc;
 use voxel_abr::Abr;
@@ -16,266 +20,203 @@ use voxel_media::qoe::QoeModel;
 use voxel_media::video::Video;
 use voxel_netem::{BottleneckPath, FaultPlane, PacketFate, PathConfig};
 use voxel_prep::manifest::Manifest;
-use voxel_quic::{CcKind, Connection, ConnectionConfig, Role};
+use voxel_quic::{CcKind, Connection, ConnectionConfig, Packet, Role};
 use voxel_sim::{EventQueue, SimDuration, SimTime};
 use voxel_trace::{trace_event, Layer, Tracer};
 
-/// Events of the session loop.
+/// Events of the kernel's private queue.
 enum Ev {
     /// Datagram arriving at the client.
     ToClient(Bytes),
     /// Datagram arriving at the server.
     ToServer(Bytes),
-    /// Player tick (progress checks, playback deadlines).
+    /// Player tick (progress checks, playback deadlines; also the no-op
+    /// clock bump).
     Tick,
 }
 
-/// One streaming trial.
-pub struct Session {
+/// Where a session's datagrams go once sent. Statically dispatched: the
+/// kernel is generic over its wire, so each caller's loop compiles to
+/// direct calls.
+pub trait Wire {
+    /// Carry one server → client datagram sent at `now`; its arrival, if
+    /// it arrives in this session at all, goes through `land`.
+    fn downlink(&mut self, now: SimTime, p: Packet, land: &mut Landing<'_>);
+    /// Carry one client → server datagram sent at `now`.
+    fn uplink(&mut self, now: SimTime, p: Packet, land: &mut Landing<'_>);
+    /// An object the server resolved at `now`. Called only for a kernel
+    /// built [`Kernel::with_serve_notes`]; ignored by default.
+    fn served(&mut self, _now: SimTime, _note: ServeNote) {}
+}
+
+/// The receiving end of one datagram: schedules its arrival in the
+/// kernel's queue.
+pub struct Landing<'a> {
+    queue: &'a mut EventQueue<Ev>,
+    /// `Ev::ToClient` or `Ev::ToServer`.
+    arrive: fn(Bytes) -> Ev,
+}
+
+impl Landing<'_> {
+    /// Deliver `datagram` to the receiving endpoint at `at` (not before
+    /// its send time).
+    pub fn at(&mut self, at: SimTime, datagram: Bytes) {
+        self.queue.schedule(at, (self.arrive)(datagram));
+    }
+}
+
+/// How a [`Kernel::advance`] call returned.
+#[derive(Debug, Clone, Copy)]
+pub enum Advanced {
+    /// Still playing: the earliest pending event lies past the bound.
+    Blocked(SimTime),
+    /// The player finished at this time.
+    Done(SimTime),
+}
+
+/// The session kernel: both endpoints, both applications and their
+/// private event queue, stepped by [`Kernel::advance`].
+pub struct Kernel {
     queue: EventQueue<Ev>,
-    path: BottleneckPath,
     client_conn: Connection,
     server_conn: Connection,
     server: ServerApp,
     client: ClientApp,
-    /// Hard cap on simulated time (safety net; never reached in practice).
-    cap: SimTime,
+    /// The player's first tick. A staggered fleet member idles (still
+    /// counting iterations) until then.
+    start: SimTime,
+    /// Time of the armed player tick.
+    last_tick: SimTime,
+    /// Loop iterations so far; also the profiler's sampling key.
+    iters: u64,
     tracer: Tracer,
-    /// Seeded packet-fault plane (testkit scenarios; `None` = clean path).
-    faults: Option<FaultPlane>,
+    /// `VOXEL_SESSION_DEBUG` progress lines (single sessions only).
+    debug: Tracer,
 }
 
-impl Session {
-    /// Assemble a session.
+impl Kernel {
+    /// Assemble a session whose player starts at `start`.
     pub fn new(
-        path_config: PathConfig,
+        start: SimTime,
+        player: PlayerConfig,
         manifest: Arc<Manifest>,
         video: Arc<Video>,
         qoe: QoeModel,
         abr: Box<dyn Abr>,
-        player: PlayerConfig,
-    ) -> Session {
-        Self::with_cc(
-            path_config,
-            manifest,
-            video,
-            qoe,
-            abr,
-            player,
-            CcKind::Cubic,
-        )
-    }
-
-    /// Assemble a session with an explicit congestion controller (the
-    /// Appendix B delay-based-CC ablation).
-    pub fn with_cc(
-        path_config: PathConfig,
-        manifest: Arc<Manifest>,
-        video: Arc<Video>,
-        qoe: QoeModel,
-        abr: Box<dyn Abr>,
-        player: PlayerConfig,
-        cc: CcKind,
-    ) -> Session {
-        let duration = video.duration_s();
+        conn: ConnectionConfig,
+    ) -> Kernel {
         let client = ClientApp::new(player, manifest.clone(), video, qoe, abr);
-        let conn_config = ConnectionConfig {
-            cc,
-            ..ConnectionConfig::default()
-        };
-        Session {
-            queue: EventQueue::new(),
-            path: BottleneckPath::new(path_config),
-            client_conn: Connection::new(Role::Client, conn_config.clone()),
-            server_conn: Connection::new(Role::Server, conn_config),
+        let mut queue = EventQueue::with_capacity(32);
+        // Boot: the first tick starts the manifest fetch.
+        queue.schedule(start, Ev::Tick);
+        Kernel {
+            queue,
+            client_conn: Connection::new(Role::Client, conn.clone()),
+            server_conn: Connection::new(Role::Server, conn),
             server: ServerApp::new(manifest, true),
             client,
-            cap: SimTime::from_secs_f64(duration * 5.0 + 120.0),
+            start,
+            last_tick: start,
+            iters: 0,
             tracer: Tracer::disabled(),
-            faults: None,
+            debug: Tracer::disabled(),
         }
     }
 
-    /// Make the server VOXEL-unaware (backward-compatibility experiments).
-    pub fn with_voxel_unaware_server(mut self) -> Session {
-        self.server.voxel_aware = false;
+    /// Record every object the server resolves and hand it to
+    /// [`Wire::served`] (the fleet's edge tier replays them).
+    pub fn with_serve_notes(mut self) -> Kernel {
+        self.server.record_serve_notes(true);
         self
     }
 
-    /// Install a seeded fault plane: every packet handed to the path (both
-    /// directions) is run through it, so testkit scenarios can inject loss
-    /// bursts, reordering, and duplication deterministically (DESIGN.md
-    /// §11). Drops model post-bottleneck (air-interface) loss — the packet
-    /// still consumed queue space and service time.
-    pub fn with_faults(mut self, plane: FaultPlane) -> Session {
-        self.faults = Some(plane);
-        self
-    }
-
-    /// Install a tracer. One handle is shared by every layer: the client
-    /// (ABR decisions, HTTP requests, player events), the server (HTTP
-    /// responses), and the server-side QUIC\* connection — the data sender,
-    /// whose cwnd/loss/PTO telemetry is the interesting one. Events from
-    /// all layers interleave into a single per-session stream with one
-    /// monotone sequence counter.
-    ///
-    /// Crate-private: external callers route tracing through the one
-    /// [`crate::experiment::Tracing`] entry point (use `Tracing::custom`
-    /// for an explicit tracer).
-    pub(crate) fn with_tracer(mut self, tracer: Tracer) -> Session {
+    /// One tracer for the client, the server, and the server-side QUIC\*
+    /// connection (the data sender, whose cwnd/loss/PTO telemetry is the
+    /// interesting one): one per-session stream, one sequence counter.
+    fn set_tracer(&mut self, tracer: Tracer) {
         self.server_conn.set_tracer(tracer.clone());
         self.server.set_tracer(tracer.clone());
         self.client.set_tracer(tracer.clone());
         self.tracer = tracer;
-        self
     }
 
-    /// Run to completion and produce the trial result.
-    pub fn run(mut self) -> TrialResult {
-        // Boot: first tick at t=0 starts the manifest fetch.
-        self.queue.schedule(SimTime::ZERO, Ev::Tick);
-        let mut last_tick = SimTime::ZERO;
-        // Periodic loop-progress lines for interactive debugging: the old
-        // raw `eprintln!` dump, now structured events through the stderr
-        // sink (independent of whatever tracer the session was built with).
-        let debug = if std::env::var("VOXEL_SESSION_DEBUG").is_ok() {
-            Tracer::stderr(self.tracer.session_id())
-        } else {
-            Tracer::disabled()
-        };
-        let mut iters: u64 = 0;
-        let mut pkts: u64 = 0;
+    /// A datagram arriving at the client from outside the session (a
+    /// fleet's shared link), at or after the kernel's clock.
+    pub fn deliver(&mut self, at: SimTime, datagram: Bytes) {
+        self.queue.schedule(at, Ev::ToClient(datagram));
+    }
 
-        {
-            let cfg = self.client.config();
-            trace_event!(
-                self.tracer,
-                SimTime::ZERO,
-                Layer::Session,
-                "trial_start",
-                "buffer_segments" = cfg.buffer_capacity_segments,
-                "transport" = match cfg.transport {
-                    TransportMode::Reliable => "reliable",
-                    TransportMode::Split => "split",
-                },
-                "selective_retx" = cfg.selective_retx,
-                "live" = cfg.live,
-            );
-        }
+    /// Loop iterations so far.
+    pub fn iters(&self) -> u64 {
+        self.iters
+    }
 
+    /// Step the session until the player finishes or its next event lies
+    /// past `until`. Sent datagrams go through `wire`.
+    pub fn advance<W: Wire>(&mut self, until: SimTime, wire: &mut W) -> Advanced {
         loop {
             let now = self.queue.now();
-            iters += 1;
+            self.iters += 1;
             // Profiler sampling gate: free unless a voxel-obs profiler is
             // installed on this thread, and even then only 1-in-N
             // iterations take clock readings (which never touch sim state).
-            voxel_obs::arm(iters);
+            voxel_obs::arm(self.iters);
             let _step = voxel_obs::span!("session.step");
             voxel_obs::observe("obs.queue_depth", self.queue.len() as u64);
-            if iters.is_multiple_of(10_000) {
-                let (seg, dl, recs) = self.client.debug_state();
-                let stats = self.server_conn.stats();
-                trace_event!(
-                    debug,
-                    now,
-                    Layer::Session,
-                    "progress",
-                    "iters_k" = iters / 1000,
-                    "pkts" = pkts,
-                    "queue" = self.queue.len(),
-                    "cwnd" = self.server_conn.cwnd(),
-                    "seg" = seg,
-                    "dl" = dl,
-                    "recs" = recs,
-                    "pkts_sent" = stats.packets_sent,
-                    "pkts_lost" = stats.packets_lost,
-                    "ptos" = stats.ptos,
-                );
+            if self.iters.is_multiple_of(10_000) && self.debug.enabled() {
+                self.progress(now);
             }
-            // Application pumps.
-            {
-                let _pump = voxel_obs::span!("session.pump");
-                self.server.handle(now, &mut self.server_conn);
-                self.client.on_wake(now, &mut self.client_conn);
-            }
-            #[cfg(feature = "paranoid")]
-            if let Err(e) = self.client.check_invariants(now) {
-                if let Some(dump) =
-                    voxel_obs::dump_current(&format!("player invariant violated at {now:?}: {e}"))
+
+            if now >= self.start {
+                // Application pumps.
                 {
-                    eprintln!("{dump}");
-                }
-                // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
-                panic!("player invariant violated at {now:?}: {e}");
-            }
-            if self.client.is_done() {
-                return self.finish(now);
-            }
-
-            // Drain transmissions until neither side has anything to send.
-            let _transmit = voxel_obs::span!("session.transmit");
-            loop {
-                let mut progressed = false;
-                while let Some(p) = self.server_conn.poll_transmit(now) {
-                    pkts += 1;
-                    let size = p.wire_size();
-                    let fate = match self.faults.as_mut() {
-                        Some(plane) => plane.next_fate(now),
-                        None => PacketFate::Deliver,
-                    };
-                    if let Some(arrival) = self.path.send_downlink(now, size) {
-                        match fate {
-                            PacketFate::Deliver => {
-                                self.queue.schedule(arrival, Ev::ToClient(p.encode()));
-                            }
-                            PacketFate::Drop => {}
-                            PacketFate::Delay(extra) => {
-                                self.queue
-                                    .schedule(arrival + extra, Ev::ToClient(p.encode()));
-                            }
-                            PacketFate::Duplicate(lag) => {
-                                let bytes = p.encode();
-                                self.queue.schedule(arrival, Ev::ToClient(bytes.clone()));
-                                self.queue.schedule(arrival + lag, Ev::ToClient(bytes));
-                            }
-                        }
+                    let _pump = voxel_obs::span!("session.pump");
+                    self.server.handle(now, &mut self.server_conn);
+                    for note in self.server.take_serve_notes() {
+                        wire.served(now, note);
                     }
-                    progressed = true;
+                    self.client.on_wake(now, &mut self.client_conn);
                 }
-                while let Some(p) = self.client_conn.poll_transmit(now) {
-                    let fate = match self.faults.as_mut() {
-                        Some(plane) => plane.next_fate(now),
-                        None => PacketFate::Deliver,
-                    };
-                    let arrival = self.path.send_uplink(now);
-                    match fate {
-                        PacketFate::Deliver => {
-                            self.queue.schedule(arrival, Ev::ToServer(p.encode()));
-                        }
-                        PacketFate::Drop => {}
-                        PacketFate::Delay(extra) => {
-                            self.queue
-                                .schedule(arrival + extra, Ev::ToServer(p.encode()));
-                        }
-                        PacketFate::Duplicate(lag) => {
-                            let bytes = p.encode();
-                            self.queue.schedule(arrival, Ev::ToServer(bytes.clone()));
-                            self.queue.schedule(arrival + lag, Ev::ToServer(bytes));
-                        }
+                #[cfg(feature = "paranoid")]
+                if let Err(e) = self.client.check_invariants(now) {
+                    if let Some(dump) = voxel_obs::dump_current(&format!(
+                        "player invariant violated at {now:?}: {e}"
+                    )) {
+                        eprintln!("{dump}");
                     }
-                    progressed = true;
+                    // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
+                    panic!("player invariant violated at {now:?}: {e}");
                 }
-                if !progressed {
-                    break;
+                if self.client.is_done() {
+                    return Advanced::Done(now);
                 }
-            }
-            drop(_transmit);
 
-            // Keep exactly one player tick armed ~100 ms out.
-            if last_tick <= now {
-                if let Some(wake) = self.client.next_wake(now) {
-                    last_tick = wake;
-                    self.queue.schedule(wake, Ev::Tick);
+                // Drain transmissions. The endpoints share no state, so
+                // one pass each empties both.
+                {
+                    let _transmit = voxel_obs::span!("session.transmit");
+                    while let Some(p) = self.server_conn.poll_transmit(now) {
+                        let mut land = Landing {
+                            queue: &mut self.queue,
+                            arrive: Ev::ToClient,
+                        };
+                        wire.downlink(now, p, &mut land);
+                    }
+                    while let Some(p) = self.client_conn.poll_transmit(now) {
+                        let mut land = Landing {
+                            queue: &mut self.queue,
+                            arrive: Ev::ToServer,
+                        };
+                        wire.uplink(now, p, &mut land);
+                    }
+                }
+
+                // Keep exactly one player tick armed ~100 ms out.
+                if self.last_tick <= now {
+                    if let Some(wake) = self.client.next_wake(now) {
+                        self.last_tick = wake;
+                        self.queue.schedule(wake, Ev::Tick);
+                    }
                 }
             }
 
@@ -289,20 +230,18 @@ impl Session {
             let Some(next) = next else {
                 // Nothing pending at all: force a tick so the player can
                 // re-evaluate (e.g. waiting out a buffer-full period).
-                let t = self.queue.now() + SimDuration::from_millis(100);
-                self.queue.schedule(t, Ev::Tick);
+                self.queue
+                    .schedule(now + SimDuration::from_millis(100), Ev::Tick);
                 continue;
             };
-            if next > self.cap {
-                // Safety cap: freeze what we have.
-                let cap = self.cap;
-                return self.finish(cap);
+            if next > until {
+                return Advanced::Blocked(next);
             }
 
-            // Deliver everything due at `next`.
+            // Deliver everything due at `next`: client timers, server
+            // timers, then queued events in (time, insertion) order.
             let _deliver = voxel_obs::span!("session.deliver");
             if timer_c.is_some_and(|t| t <= next) {
-                // Advance queue time via a synthetic tick if needed.
                 self.client_conn.on_timeout(next);
             }
             if timer_s.is_some_and(|t| t <= next) {
@@ -327,9 +266,32 @@ impl Session {
         }
     }
 
-    /// Close out the trial: emit the end-of-session event, snapshot the
-    /// metrics registry, attach transport statistics, and flush the sink.
-    fn finish(self, now: SimTime) -> TrialResult {
+    /// One `VOXEL_SESSION_DEBUG` progress line.
+    fn progress(&self, now: SimTime) {
+        let (seg, dl, recs) = self.client.debug_state();
+        let stats = self.server_conn.stats();
+        trace_event!(
+            self.debug,
+            now,
+            Layer::Session,
+            "progress",
+            "iters_k" = self.iters / 1000,
+            "queue" = self.queue.len(),
+            "cwnd" = self.server_conn.cwnd(),
+            "seg" = seg,
+            "dl" = dl,
+            "recs" = recs,
+            "pkts_sent" = stats.packets_sent,
+            "pkts_lost" = stats.packets_lost,
+            "ptos" = stats.ptos,
+        );
+    }
+
+    /// Close out the trial at `now`: emit the end-of-session event,
+    /// snapshot the metrics registry, attach transport statistics, and
+    /// flush the sink. Without a tracer the mean cwnd and SRTT are the
+    /// connection's final values.
+    pub fn finish(self, now: SimTime) -> TrialResult {
         let stats = self.server_conn.stats();
         let client_stats = self.client_conn.stats();
         trace_event!(
@@ -369,6 +331,161 @@ impl Session {
         r.metrics = snapshot;
         self.tracer.flush();
         r
+    }
+}
+
+/// A single session's wire: the emulated bottleneck path, with an
+/// optional seeded fault plane applied to both directions.
+struct PathWire {
+    path: BottleneckPath,
+    faults: Option<FaultPlane>,
+}
+
+impl PathWire {
+    /// Land `p` at `arrival` (`None`: the bottleneck dropped it) as the
+    /// fault plane decides; the plane draws a fate for every packet.
+    fn land(&mut self, now: SimTime, arrival: Option<SimTime>, p: Packet, land: &mut Landing<'_>) {
+        let fate = match self.faults.as_mut() {
+            Some(plane) => plane.next_fate(now),
+            None => PacketFate::Deliver,
+        };
+        let Some(arrival) = arrival else {
+            return;
+        };
+        match fate {
+            PacketFate::Deliver => land.at(arrival, p.encode()),
+            PacketFate::Drop => {}
+            PacketFate::Delay(extra) => land.at(arrival + extra, p.encode()),
+            PacketFate::Duplicate(lag) => {
+                let bytes = p.encode();
+                land.at(arrival, bytes.clone());
+                land.at(arrival + lag, bytes);
+            }
+        }
+    }
+}
+
+impl Wire for PathWire {
+    fn downlink(&mut self, now: SimTime, p: Packet, land: &mut Landing<'_>) {
+        let arrival = self.path.send_downlink(now, p.wire_size());
+        self.land(now, arrival, p, land);
+    }
+
+    fn uplink(&mut self, now: SimTime, p: Packet, land: &mut Landing<'_>) {
+        let arrival = self.path.send_uplink(now);
+        self.land(now, Some(arrival), p, land);
+    }
+}
+
+/// One streaming trial over a [`BottleneckPath`].
+pub struct Session {
+    kernel: Kernel,
+    wire: PathWire,
+    /// Hard cap on simulated time (safety net; never reached in practice).
+    cap: SimTime,
+}
+
+impl Session {
+    /// Assemble a session.
+    pub fn new(
+        path_config: PathConfig,
+        manifest: Arc<Manifest>,
+        video: Arc<Video>,
+        qoe: QoeModel,
+        abr: Box<dyn Abr>,
+        player: PlayerConfig,
+    ) -> Session {
+        Self::with_cc(
+            path_config,
+            manifest,
+            video,
+            qoe,
+            abr,
+            player,
+            CcKind::Cubic,
+        )
+    }
+
+    /// Assemble a session with an explicit congestion controller (the
+    /// Appendix B delay-based-CC ablation).
+    pub fn with_cc(
+        path_config: PathConfig,
+        manifest: Arc<Manifest>,
+        video: Arc<Video>,
+        qoe: QoeModel,
+        abr: Box<dyn Abr>,
+        player: PlayerConfig,
+        cc: CcKind,
+    ) -> Session {
+        let cap = SimTime::from_secs_f64(video.duration_s() * 5.0 + 120.0);
+        let conn = ConnectionConfig {
+            cc,
+            ..ConnectionConfig::default()
+        };
+        Session {
+            kernel: Kernel::new(SimTime::ZERO, player, manifest, video, qoe, abr, conn),
+            wire: PathWire {
+                path: BottleneckPath::new(path_config),
+                faults: None,
+            },
+            cap,
+        }
+    }
+
+    /// Make the server VOXEL-unaware (backward-compatibility experiments).
+    pub fn with_voxel_unaware_server(mut self) -> Session {
+        self.kernel.server.voxel_aware = false;
+        self
+    }
+
+    /// Install a seeded fault plane: every packet handed to the path (both
+    /// directions) is run through it, so testkit scenarios can inject loss
+    /// bursts, reordering, and duplication deterministically (DESIGN.md
+    /// §11). Drops model post-bottleneck (air-interface) loss — the packet
+    /// still consumed queue space and service time.
+    pub fn with_faults(mut self, plane: FaultPlane) -> Session {
+        self.wire.faults = Some(plane);
+        self
+    }
+
+    /// Install a tracer shared by every layer of the session (see
+    /// [`Kernel`]).
+    ///
+    /// Crate-private: external callers route tracing through the one
+    /// [`crate::experiment::Tracing`] entry point (use `Tracing::custom`
+    /// for an explicit tracer).
+    pub(crate) fn with_tracer(mut self, tracer: Tracer) -> Session {
+        self.kernel.set_tracer(tracer);
+        self
+    }
+
+    /// Run to completion (or the safety cap) and produce the trial result.
+    pub fn run(mut self) -> TrialResult {
+        // Periodic loop-progress lines for interactive debugging, through
+        // the stderr sink (independent of the session's own tracer).
+        if std::env::var("VOXEL_SESSION_DEBUG").is_ok() {
+            self.kernel.debug = Tracer::stderr(self.kernel.tracer.session_id());
+        }
+        let cfg = self.kernel.client.config();
+        trace_event!(
+            self.kernel.tracer,
+            SimTime::ZERO,
+            Layer::Session,
+            "trial_start",
+            "buffer_segments" = cfg.buffer_capacity_segments,
+            "transport" = match cfg.transport {
+                TransportMode::Reliable => "reliable",
+                TransportMode::Split => "split",
+            },
+            "selective_retx" = cfg.selective_retx,
+            "live" = cfg.live,
+        );
+        let end = match self.kernel.advance(self.cap, &mut self.wire) {
+            Advanced::Done(now) => now,
+            // Safety cap: freeze what we have.
+            Advanced::Blocked(_) => self.cap,
+        };
+        self.kernel.finish(end)
     }
 }
 

@@ -15,8 +15,9 @@
 //!   (`BBB:4xVOXEL+2xBOLA+2xBETA:const6:buf3:q64:d300:drr:stg2`) with
 //!   exact `parse`/`spec` round-tripping, plus the canonical
 //!   system/video name tables shared with `voxel-testkit`.
-//! - [`run`]: the sharded fleet runtime — per-session QUIC\* endpoint
-//!   pairs, each with its **own** event queue, multiplexed over a
+//! - [`run`]: the sharded fleet runtime — per-session kernels (the
+//!   `voxel_core::session::Kernel` event loop a single trial runs), each
+//!   with its **own** event queue, multiplexed over a
 //!   [`voxel_netem::SharedLink`] (FIFO or deficit round robin with
 //!   per-flow accounting). Sessions advance in conservative-parallel
 //!   barrier rounds (lookahead = the link's propagation delay) and can

@@ -25,7 +25,7 @@
 
 use crate::edge::{EdgeTier, Workload};
 use crate::metrics::{jain_index, FleetResult};
-use crate::shard::{worker_loop, Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing, Reply};
+use crate::shard::{worker_loop, Cmd, Delivery, FinishNote, Lane, NoteOut, Outgoing};
 use crate::shard::{RoundCmd, SessionCell, SessionSeed};
 use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
 use bytes::Bytes;
@@ -363,6 +363,8 @@ fn coordinate(
     // Round-scratch buffers, reused across the (many) rounds.
     let mut merged: Vec<Outgoing> = Vec::new();
     let mut finished: Vec<FinishNote> = Vec::new();
+    // Per-session results, indexed by flow, filled as sessions finish.
+    let mut results: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
     let mut dep_pool: VecPool<Departure> = VecPool::new();
 
     let mut live = n;
@@ -416,13 +418,12 @@ fn coordinate(
             }
             finished.clear();
             for lane in lanes.iter_mut() {
-                if let Reply::Round(mut r) = lane.collect() {
-                    finished.append(&mut r.finished);
-                }
+                finished.append(&mut lane.collect().finished);
             }
             finished.sort_by_key(|f| f.flow);
-            for f in &finished {
-                emit_session_end(tracer, f);
+            for f in finished.drain(..) {
+                emit_session_end(tracer, &f);
+                results[f.flow] = Some(f.result);
             }
             end = cap;
             break;
@@ -469,29 +470,26 @@ fn coordinate(
             merged.clear();
             finished.clear();
             for lane in lanes.iter_mut() {
-                match lane.collect() {
-                    Reply::Round(mut r) => {
-                        iters += r.iters;
-                        merged.append(&mut r.outbox);
-                        notes.append(&mut r.notes);
-                        for (flow, t) in r.blocked {
-                            next_by_flow[flow] = Some(t);
-                        }
-                        for note in r.finished.drain(..) {
-                            next_by_flow[note.flow] = None;
-                            finished.push(note);
-                        }
-                    }
-                    Reply::Outcomes(_) => unreachable!("harvest reply during a round"),
+                let mut r = lane.collect();
+                iters += r.iters;
+                merged.append(&mut r.outbox);
+                notes.append(&mut r.notes);
+                for (flow, t) in r.blocked {
+                    next_by_flow[flow] = Some(t);
+                }
+                for note in r.finished.drain(..) {
+                    next_by_flow[note.flow] = None;
+                    finished.push(note);
                 }
             }
         }
 
         live -= finished.len();
         finished.sort_by_key(|f| (f.at, f.flow));
-        for f in &finished {
+        for f in finished.drain(..) {
             end = end.max(f.at);
-            emit_session_end(tracer, f);
+            emit_session_end(tracer, &f);
+            results[f.flow] = Some(f.result);
         }
 
         // Merge the round's packets in partition-invariant order and pump
@@ -552,22 +550,7 @@ fn coordinate(
         prev = barrier;
     }
 
-    // Harvest per-session results, reassembled in flow order.
-    for lane in lanes.iter_mut() {
-        lane.dispatch(Cmd::Harvest);
-    }
-    let mut slots: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
-    for lane in lanes.iter_mut() {
-        match lane.collect() {
-            Reply::Outcomes(outs) => {
-                for (flow, r) in outs {
-                    slots[flow] = Some(r);
-                }
-            }
-            Reply::Round(_) => unreachable!("round reply during harvest"),
-        }
-    }
-    let sessions: Vec<TrialResult> = slots
+    let sessions: Vec<TrialResult> = results
         .into_iter()
         // lint: allow(panic) every flow was frozen or finished above
         .map(|s| s.expect("session produced a result"))
@@ -652,11 +635,11 @@ fn emit_session_end(tracer: &Tracer, f: &FinishNote) {
         Layer::Fleet,
         "fleet_session_end",
         "flow" = f.flow,
-        "system" = f.system.as_str(),
-        "completed" = f.completed,
-        "stall_s" = f.stall_s,
-        "ssim" = f.ssim,
-        "bytes_downloaded" = f.bytes_downloaded,
+        "system" = f.result.abr.as_str(),
+        "completed" = f.result.completed,
+        "stall_s" = f.result.stall_s,
+        "ssim" = f.result.avg_ssim(),
+        "bytes_downloaded" = f.result.bytes_downloaded,
     );
     tracer.count("fleet.sessions_completed", 1);
 }

@@ -7,9 +7,12 @@
 //! DESIGN.md §14 for the protocol and its lookahead argument). This
 //! module holds the pieces that live on the session side of that split:
 //!
-//! - [`SessionCell`]: one session (client + server + their private event
-//!   queue) and its `advance`-to-barrier loop, ported from the global
-//!   fleet loop but touching nothing outside the session.
+//! - [`SessionCell`]: one fleet member — the session kernel
+//!   ([`voxel_core::session::Kernel`], the same event loop a single
+//!   session runs) plus its flow id, label and export sequences. Its
+//!   round wire sends downlink packets to the round outbox and keeps the
+//!   delay-only uplink in the session's own queue, so advancing a cell to
+//!   the barrier touches nothing outside the session.
 //! - [`shard_round`] / [`shard_freeze`]: the per-shard round step shared
 //!   verbatim by the inline (workers = 1) and threaded paths, so every
 //!   worker count runs the *same algorithm* — only the thread dispatch
@@ -25,22 +28,12 @@
 
 use bytes::Bytes;
 use std::sync::mpsc::{Receiver, Sender};
-use voxel_core::client::{ClientApp, PlayerConfig};
-use voxel_core::server::{ServeNote, ServerApp};
-use voxel_core::{TransportStats, TrialResult};
-use voxel_quic::{Connection, ConnectionConfig, Role};
-use voxel_sim::{EventQueue, SimDuration, SimTime};
-
-/// Session-local events: datagram arrivals and player ticks. Link service
-/// completions are not events here — the coordinator owns the link.
-enum Ev {
-    /// Datagram arriving at the client (delivered by the shared link).
-    ToClient(Bytes),
-    /// Datagram arriving at the server (uplink is delay-only, in-session).
-    ToServer(Bytes),
-    /// Player tick (also the no-op clock bump).
-    Tick,
-}
+use voxel_core::client::PlayerConfig;
+use voxel_core::server::ServeNote;
+use voxel_core::session::{Advanced, Kernel, Landing, Wire};
+use voxel_core::TrialResult;
+use voxel_quic::{ConnectionConfig, Packet};
+use voxel_sim::{SimDuration, SimTime};
 
 /// One packet a session offered to the shared link during a round.
 ///
@@ -85,16 +78,12 @@ pub(crate) struct Delivery {
     pub payload: Bytes,
 }
 
-/// A session that finished during a round, with the fields the
-/// coordinator needs to emit its `fleet_session_end` trace event.
+/// A session that finished during a round (or was frozen at the cap),
+/// with its result.
 pub(crate) struct FinishNote {
     pub flow: usize,
-    pub system: String,
     pub at: SimTime,
-    pub completed: bool,
-    pub stall_s: f64,
-    pub ssim: f64,
-    pub bytes_downloaded: u64,
+    pub result: TrialResult,
 }
 
 /// One barrier round's instructions to a shard.
@@ -129,42 +118,18 @@ pub(crate) enum Cmd {
     Round(RoundCmd),
     /// Freeze every unfinished session at the cap.
     Freeze(SimTime),
-    /// Return the per-session results; the worker exits afterwards.
-    Harvest,
 }
 
-/// Shard → coordinator replies.
-pub(crate) enum Reply {
-    Round(RoundReply),
-    Outcomes(Vec<(usize, TrialResult)>),
-}
-
-/// How a session left its `advance` call.
-enum Advanced {
-    /// Live, earliest pending work strictly after the barrier.
-    Blocked(SimTime),
-    /// Finished during this round.
-    Done(Box<FinishNote>),
-}
-
-/// One fleet member: both endpoints, their private event queue, and the
-/// bookkeeping the barrier protocol needs.
+/// One fleet member: the session kernel plus the bookkeeping the barrier
+/// protocol needs.
 pub(crate) struct SessionCell {
     pub flow: usize,
     label: String,
-    start: SimTime,
     delay_up: SimDuration,
-    client_conn: Connection,
-    server_conn: Connection,
-    server: ServerApp,
     /// Taken on finalization.
-    client: Option<ClientApp>,
-    last_tick: SimTime,
-    queue: EventQueue<Ev>,
+    kernel: Option<Kernel>,
     out_seq: u64,
     note_seq: u64,
-    iters: u64,
-    result: Option<TrialResult>,
 }
 
 /// Everything needed to construct one session. Plain `Send + Sync` data,
@@ -186,217 +151,81 @@ pub(crate) struct SessionSeed {
     pub record_notes: bool,
 }
 
+/// A fleet member's wire for one round: downlink packets go to the round
+/// outbox (the coordinator owns the shared link), the uplink is
+/// delay-only and lands in the session's own queue, and serve notes go to
+/// the edge tier's note list.
+struct RoundWire<'a> {
+    flow: usize,
+    delay_up: SimDuration,
+    out_seq: &'a mut u64,
+    note_seq: &'a mut u64,
+    out: &'a mut Vec<Outgoing>,
+    notes: &'a mut Vec<NoteOut>,
+}
+
+impl Wire for RoundWire<'_> {
+    fn downlink(&mut self, now: SimTime, p: Packet, _land: &mut Landing<'_>) {
+        *self.out_seq += 1;
+        self.out.push(Outgoing {
+            at: now,
+            flow: self.flow,
+            seq: *self.out_seq,
+            bytes: p.wire_size(),
+            payload: p.encode(),
+        });
+    }
+
+    fn uplink(&mut self, now: SimTime, p: Packet, land: &mut Landing<'_>) {
+        land.at(now + self.delay_up, p.encode());
+    }
+
+    fn served(&mut self, now: SimTime, note: ServeNote) {
+        *self.note_seq += 1;
+        self.notes.push(NoteOut {
+            at: now,
+            flow: self.flow,
+            seq: *self.note_seq,
+            note,
+        });
+    }
+}
+
 impl SessionCell {
     pub fn new(seed: SessionSeed) -> SessionCell {
-        let client = ClientApp::new(
+        let kernel = Kernel::new(
+            seed.start,
             seed.player,
-            seed.manifest.clone(),
+            seed.manifest,
             seed.video,
             seed.qoe,
             seed.abr.make(),
+            seed.conn_config,
         );
-        let mut queue = EventQueue::with_capacity(32);
-        queue.schedule(seed.start, Ev::Tick);
-        let mut server = ServerApp::new(seed.manifest, true);
-        server.record_serve_notes(seed.record_notes);
         SessionCell {
             flow: seed.flow,
             label: seed.label,
-            start: seed.start,
             delay_up: seed.delay_up,
-            client_conn: Connection::new(Role::Client, seed.conn_config.clone()),
-            server_conn: Connection::new(Role::Server, seed.conn_config),
-            server,
-            client: Some(client),
-            last_tick: seed.start,
-            queue,
+            kernel: Some(if seed.record_notes {
+                kernel.with_serve_notes()
+            } else {
+                kernel
+            }),
             out_seq: 0,
             note_seq: 0,
-            iters: 0,
-            result: None,
         }
     }
 
-    fn live(&self) -> bool {
-        self.result.is_none()
-    }
-
-    /// Inject a link delivery. Deliveries always land at or after the
-    /// session's clock: the lookahead argument (DESIGN.md §14) guarantees
-    /// a packet entering the link in round *k* cannot arrive before the
-    /// round-*k* barrier, and the session never advances past it.
-    fn inject(&mut self, at: SimTime, payload: Bytes) {
-        self.queue.schedule(at, Ev::ToClient(payload));
-    }
-
-    /// Advance this session up to (and including) `barrier`: the fleet
-    /// loop of `run.rs` pre-shard, restricted to one session. Outgoing
-    /// downlink packets land in `out`, serve notes (edge tier only) in
-    /// `notes`; uplink packets are delay-only and stay in the private
-    /// queue.
-    fn advance(
-        &mut self,
-        barrier: SimTime,
-        out: &mut Vec<Outgoing>,
-        notes: &mut Vec<NoteOut>,
-    ) -> Advanced {
-        loop {
-            let now = self.queue.now();
-            self.iters += 1;
-            // Profiler sampling gate: free unless a voxel-obs profiler is
-            // installed on this thread; clock readings stay quarantined in
-            // the profile and never reach sim state.
-            voxel_obs::arm(self.iters);
-            let _step = voxel_obs::span!("fleet.step");
-
-            if now >= self.start {
-                let _session = voxel_obs::span!("fleet.session", self.flow);
-                self.server.handle(now, &mut self.server_conn);
-                for note in self.server.take_serve_notes() {
-                    self.note_seq += 1;
-                    notes.push(NoteOut {
-                        at: now,
-                        flow: self.flow,
-                        seq: self.note_seq,
-                        note,
-                    });
-                }
-                let done = match self.client.as_mut() {
-                    Some(client) => {
-                        client.on_wake(now, &mut self.client_conn);
-                        #[cfg(feature = "paranoid")]
-                        if let Err(e) = client.check_invariants(now) {
-                            if let Some(dump) = voxel_obs::dump_current(&format!(
-                                "fleet member {} invariant violated at {now:?}: {e}",
-                                self.flow
-                            )) {
-                                eprintln!("{dump}");
-                            }
-                            // lint: allow(panic) the paranoid layer is intentionally fatal on corruption
-                            panic!(
-                                "fleet member {} invariant violated at {now:?}: {e}",
-                                self.flow
-                            );
-                        }
-                        client.is_done()
-                    }
-                    None => false,
-                };
-                if done {
-                    // lint: allow(panic) the client was just observed present
-                    let note = self.finish(now).expect("client present at finish");
-                    return Advanced::Done(Box::new(note));
-                }
-
-                // Drain transmissions: downlink to the shared link (via
-                // the coordinator), uplink delay-only in-session.
-                while let Some(p) = self.server_conn.poll_transmit(now) {
-                    self.out_seq += 1;
-                    out.push(Outgoing {
-                        at: now,
-                        flow: self.flow,
-                        seq: self.out_seq,
-                        bytes: p.wire_size(),
-                        payload: p.encode(),
-                    });
-                }
-                while let Some(p) = self.client_conn.poll_transmit(now) {
-                    self.queue
-                        .schedule(now + self.delay_up, Ev::ToServer(p.encode()));
-                }
-
-                // Keep exactly one player tick armed.
-                if self.last_tick <= now {
-                    if let Some(client) = self.client.as_ref() {
-                        if let Some(wake) = client.next_wake(now) {
-                            self.last_tick = wake;
-                            self.queue.schedule(wake, Ev::Tick);
-                        }
-                    }
-                }
-            }
-
-            // Next event: private queue, or a transport timer.
-            let mut next = self.queue.peek_time();
-            for t in [
-                self.client_conn.next_timeout(),
-                self.server_conn.next_timeout(),
-            ] {
-                next = match (next, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let Some(next) = next else {
-                // Nothing pending: force a tick so the player re-evaluates
-                // (mirrors the single-session loop's idle poke).
-                self.queue
-                    .schedule(now + SimDuration::from_millis(100), Ev::Tick);
-                continue;
-            };
-            if next > barrier {
-                return Advanced::Blocked(next);
-            }
-
-            // Fire transport timers due at (or before) `next`.
-            if self.client_conn.next_timeout().is_some_and(|t| t <= next) {
-                self.client_conn.on_timeout(next);
-            }
-            if self.server_conn.next_timeout().is_some_and(|t| t <= next) {
-                self.server_conn.on_timeout(next);
-            }
-            // Deliver everything due at `next`.
-            while self.queue.peek_time() == Some(next) {
-                let Some(ev) = self.queue.pop() else {
-                    break;
-                };
-                match ev.event {
-                    Ev::ToClient(d) => self.client_conn.on_datagram(next, d),
-                    Ev::ToServer(d) => self.server_conn.on_datagram(next, d),
-                    Ev::Tick => {}
-                }
-            }
-            // If only timers fired (queue still in the past), bump the
-            // private clock with a no-op event.
-            if self.queue.now() < next {
-                self.queue.schedule(next, Ev::Tick);
-                self.queue.pop();
-            }
-        }
-    }
-
-    /// Close out the session at `now`: convert player state into a
-    /// [`TrialResult`] with transport stats read off the connections.
+    /// Close out the session at `now` with the kernel's result, labelled
+    /// with the member's system name (`None` if already closed).
     fn finish(&mut self, now: SimTime) -> Option<FinishNote> {
-        let client = self.client.take()?;
-        let stats = self.server_conn.stats();
-        let client_stats = self.client_conn.stats();
-        let mut r = client.into_result(now);
-        r.abr = self.label.clone();
-        r.transport = TransportStats {
-            packets_sent: stats.packets_sent,
-            packets_lost: stats.packets_lost,
-            loss_events: stats.loss_events,
-            ptos: stats.ptos,
-            bytes_sent: stats.bytes_sent,
-            bytes_retransmitted: stats.bytes_retransmitted,
-            mean_cwnd_bytes: self.server_conn.cwnd() as f64,
-            mean_srtt_ms: self.server_conn.srtt().as_secs_f64() * 1e3,
-            client_packets_received: client_stats.packets_received,
-            client_packets_duplicate: client_stats.packets_duplicate,
-            client_packets_reordered: client_stats.packets_reordered,
-        };
-        let note = FinishNote {
+        let mut result = self.kernel.take()?.finish(now);
+        result.abr = std::mem::take(&mut self.label);
+        Some(FinishNote {
             flow: self.flow,
-            system: self.label.clone(),
             at: now,
-            completed: r.completed,
-            stall_s: r.stall_s,
-            ssim: r.avg_ssim(),
-            bytes_downloaded: r.bytes_downloaded,
-        };
-        self.result = Some(r);
-        Some(note)
+            result,
+        })
     }
 }
 
@@ -405,28 +234,42 @@ impl SessionCell {
 /// only changes who calls it.
 pub(crate) fn shard_round(sessions: &mut [SessionCell], mut cmd: RoundCmd) -> RoundReply {
     let mut reply = RoundReply::default();
-    let iters_before: u64 = sessions.iter().map(|s| s.iters).sum();
+    // A shard owns a contiguous flow range, so a flow indexes its cell.
+    let first_flow = sessions.first().map_or(0, |s| s.flow);
     for d in cmd.deliveries.drain(..) {
-        let cell = sessions
-            .iter_mut()
-            .find(|s| s.flow == d.flow)
-            // lint: allow(panic) the coordinator routes by flow ownership; a miss is a harness bug
-            .expect("delivery routed to the owning shard");
-        cell.inject(d.at, d.payload);
+        let cell = &mut sessions[d.flow - first_flow];
+        assert_eq!(cell.flow, d.flow, "delivery routed to the owning shard");
+        // Deliveries always land at or after the session's clock: the
+        // lookahead argument (DESIGN.md §14) guarantees a packet entering
+        // the link in round *k* cannot arrive before the round-*k*
+        // barrier, and the session never advances past it.
+        if let Some(kernel) = cell.kernel.as_mut() {
+            kernel.deliver(d.at, d.payload);
+        }
     }
     for (i, cell) in sessions.iter_mut().enumerate() {
-        if !cell.live() {
-            continue;
-        }
         if cmd.skip.get(i).copied().unwrap_or(false) {
             continue;
         }
-        match cell.advance(cmd.barrier, &mut reply.outbox, &mut reply.notes) {
+        let Some(kernel) = cell.kernel.as_mut() else {
+            continue;
+        };
+        let iters_before = kernel.iters();
+        let mut wire = RoundWire {
+            flow: cell.flow,
+            delay_up: cell.delay_up,
+            out_seq: &mut cell.out_seq,
+            note_seq: &mut cell.note_seq,
+            out: &mut reply.outbox,
+            notes: &mut reply.notes,
+        };
+        let advanced = kernel.advance(cmd.barrier, &mut wire);
+        reply.iters += kernel.iters() - iters_before;
+        match advanced {
             Advanced::Blocked(next) => reply.blocked.push((cell.flow, next)),
-            Advanced::Done(note) => reply.finished.push(*note),
+            Advanced::Done(now) => reply.finished.extend(cell.finish(now)),
         }
     }
-    reply.iters = sessions.iter().map(|s| s.iters).sum::<u64>() - iters_before;
     reply
 }
 
@@ -442,35 +285,21 @@ pub(crate) fn shard_freeze(sessions: &mut [SessionCell], at: SimTime) -> RoundRe
     reply
 }
 
-fn harvest(sessions: Vec<SessionCell>) -> Vec<(usize, TrialResult)> {
-    sessions
-        .into_iter()
-        .map(|s| {
-            let flow = s.flow;
-            // lint: allow(panic) the coordinator freezes stragglers before harvesting
-            (flow, s.result.expect("session finished before harvest"))
-        })
-        .collect()
-}
-
 /// Worker-thread body: build the shard's sessions locally (session state
-/// never crosses threads), then serve rounds until harvested.
+/// never crosses threads), then serve rounds until the coordinator hangs
+/// up.
 pub(crate) fn worker_loop(
     seeds: Vec<SessionSeed>,
     rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
+    tx: Sender<RoundReply>,
     recorder: Option<voxel_obs::FlightRecorder>,
 ) {
     let _bound = recorder.as_ref().map(voxel_obs::install_recorder);
     let mut sessions: Vec<SessionCell> = seeds.into_iter().map(SessionCell::new).collect();
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
-            Cmd::Round(round) => Reply::Round(shard_round(&mut sessions, round)),
-            Cmd::Freeze(at) => Reply::Round(shard_freeze(&mut sessions, at)),
-            Cmd::Harvest => {
-                let _ = tx.send(Reply::Outcomes(harvest(sessions)));
-                return;
-            }
+            Cmd::Round(round) => shard_round(&mut sessions, round),
+            Cmd::Freeze(at) => shard_freeze(&mut sessions, at),
         };
         if tx.send(reply).is_err() {
             return;
@@ -480,8 +309,8 @@ pub(crate) fn worker_loop(
 
 /// A shard handle as the coordinator sees it: the inline lane runs the
 /// shard's sessions on the coordinator thread (workers = 1 keeps the
-/// whole run single-threaded); a thread lane speaks the same `Cmd`/`Reply`
-/// protocol over channels.
+/// whole run single-threaded); a thread lane speaks the same
+/// `Cmd`/`RoundReply` protocol over channels.
 pub(crate) enum Lane {
     Inline {
         sessions: Vec<SessionCell>,
@@ -489,7 +318,7 @@ pub(crate) enum Lane {
     },
     Thread {
         tx: Sender<Cmd>,
-        rx: Receiver<Reply>,
+        rx: Receiver<RoundReply>,
     },
 }
 
@@ -508,14 +337,13 @@ impl Lane {
     }
 
     /// Execute (inline) or await (threaded) the dispatched command.
-    pub fn collect(&mut self) -> Reply {
+    pub fn collect(&mut self) -> RoundReply {
         match self {
             Lane::Inline { sessions, pending } => {
                 // lint: allow(panic) collect without dispatch is a harness bug
                 match pending.take().expect("round dispatched") {
-                    Cmd::Round(round) => Reply::Round(shard_round(sessions, round)),
-                    Cmd::Freeze(at) => Reply::Round(shard_freeze(sessions, at)),
-                    Cmd::Harvest => Reply::Outcomes(harvest(std::mem::take(sessions))),
+                    Cmd::Round(round) => shard_round(sessions, round),
+                    Cmd::Freeze(at) => shard_freeze(sessions, at),
                 }
             }
             Lane::Thread { rx, .. } => {

@@ -48,8 +48,8 @@ pub use recorder::{current as current_recorder, dump_current, install as install
 ///     // ... hot-path work ...
 /// }
 /// {
-///     // Per-instance spans take a discriminator (e.g. the fleet flow).
-///     let _span = voxel_obs::span!("fleet.session", 3);
+///     // Per-instance spans take a discriminator (e.g. an edge index).
+///     let _span = voxel_obs::span!("netem.pop_due", 3);
 /// }
 /// drop(_install);
 /// assert_eq!(profiler.report().unwrap().flat().len(), 2);

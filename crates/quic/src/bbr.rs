@@ -20,7 +20,7 @@
 //! model regulates it (see `cc_shootout` for how that plays against
 //! CUBIC on a shared bottleneck).
 
-use crate::cc::RateSample;
+use crate::cc::{MaxFilter, RateSample};
 use voxel_sim::{SimDuration, SimTime};
 
 /// Startup pacing/window gain: 2/ln 2, the slow-start-equivalent rate
@@ -71,8 +71,8 @@ pub enum BbrState {
 pub struct Bbr {
     mss: usize,
     state: BbrState,
-    /// BtlBw max-filter samples: (round, bytes/sec), newest last.
-    bw_samples: Vec<(u64, f64)>,
+    /// BtlBw max filter over packet-timed rounds (bytes/sec).
+    btl_bw: MaxFilter<BW_WINDOW_ROUNDS>,
     /// Packet-timed round counter (advanced by the delivery sampler).
     round: u64,
     /// Cumulative-delivered mark that ends the current round.
@@ -103,7 +103,7 @@ impl Bbr {
         Bbr {
             mss,
             state: BbrState::Startup,
-            bw_samples: Vec::new(),
+            btl_bw: MaxFilter::default(),
             round: 0,
             round_start_delivered: 0,
             round_wrapped: false,
@@ -148,10 +148,7 @@ impl Bbr {
 
     /// Windowed-max bottleneck-bandwidth estimate, bytes/second.
     pub fn btl_bw(&self) -> f64 {
-        self.bw_samples
-            .iter()
-            .map(|&(_, bw)| bw)
-            .fold(0.0, f64::max)
+        self.btl_bw.max()
     }
 
     /// RTprop estimate.
@@ -196,9 +193,7 @@ impl Bbr {
             self.round_wrapped = true;
         }
         if s.rate.is_finite() && s.rate > 0.0 {
-            self.bw_samples.push((self.round, s.rate));
-            let horizon = self.round.saturating_sub(BW_WINDOW_ROUNDS);
-            self.bw_samples.retain(|&(r, _)| r > horizon);
+            self.btl_bw.push(self.round, s.rate);
         }
     }
 
@@ -310,7 +305,7 @@ impl Bbr {
 
     /// Repeated PTOs: the model is stale — restart from scratch.
     pub fn on_persistent_congestion(&mut self) {
-        self.bw_samples.clear();
+        self.btl_bw.clear();
         self.round_start_delivered = 0;
         self.full_bw = 0.0;
         self.full_bw_rounds = 0;

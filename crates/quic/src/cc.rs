@@ -200,6 +200,35 @@ impl CongestionControl {
     }
 }
 
+/// Windowed-max filter over `(round, value)` samples, newest last: the
+/// bottleneck-bandwidth estimator of both [`DelayCc`] and [`Bbr`]. A
+/// sample leaves the window `WINDOW` rounds after its own round.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MaxFilter<const WINDOW: u64> {
+    samples: Vec<(u64, f64)>,
+}
+
+impl<const WINDOW: u64> MaxFilter<WINDOW> {
+    pub(crate) fn push(&mut self, round: u64, value: f64) {
+        self.samples.push((round, value));
+        let horizon = round.saturating_sub(WINDOW);
+        self.samples.retain(|&(r, _)| r > horizon);
+    }
+
+    /// The windowed maximum (0 when empty).
+    pub(crate) fn max(&self) -> f64 {
+        self.samples.iter().map(|&(_, v)| v).fold(0.0, f64::max)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.samples.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.samples.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,13 +19,14 @@
 //! `fig16` compares VOXEL over CUBIC vs over this controller on the
 //! 750-packet queue.
 
+use crate::cc::MaxFilter;
 use voxel_sim::{SimDuration, SimTime};
 
 /// Gain cycle (one step per estimated RTT), BBR's ProbeBW schedule.
 const GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 /// Window length for the bandwidth max-filter, in gain-cycle steps.
-const BW_WINDOW: usize = 10;
+const BW_WINDOW: u64 = 10;
 
 /// Window length for the min-RTT filter.
 const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
@@ -34,9 +35,9 @@ const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
 #[derive(Debug, Clone)]
 pub struct DelayCc {
     mss: usize,
-    /// Bottleneck-bandwidth samples (bytes/sec), newest last.
-    bw_samples: Vec<(u64, f64)>,
-    /// Monotone sample counter (windowing key for `bw_samples`).
+    /// Bottleneck-bandwidth max filter (bytes/sec).
+    btl_bw: MaxFilter<BW_WINDOW>,
+    /// Monotone sample counter (windowing key for `btl_bw`).
     round: u64,
     /// Windowed minimum RTT and when it was observed.
     min_rtt: SimDuration,
@@ -57,7 +58,7 @@ impl DelayCc {
     pub fn new(mss: usize) -> DelayCc {
         DelayCc {
             mss,
-            bw_samples: Vec::new(),
+            btl_bw: MaxFilter::default(),
             round: 0,
             min_rtt: SimDuration::from_millis(100),
             min_rtt_at: SimTime::ZERO,
@@ -87,10 +88,7 @@ impl DelayCc {
 
     /// Estimated bottleneck bandwidth in bytes/second.
     pub fn btl_bw(&self) -> f64 {
-        self.bw_samples
-            .iter()
-            .map(|&(_, bw)| bw)
-            .fold(0.0, f64::max)
+        self.btl_bw.max()
     }
 
     /// A packet entered the network.
@@ -116,9 +114,7 @@ impl DelayCc {
         if elapsed >= self.min_rtt.max(SimDuration::from_millis(5)) {
             let rate = self.epoch_bytes as f64 / elapsed.as_secs_f64().max(1e-6);
             self.round += 1;
-            self.bw_samples.push((self.round, rate));
-            let horizon = self.round.saturating_sub(BW_WINDOW as u64);
-            self.bw_samples.retain(|&(r, _)| r > horizon);
+            self.btl_bw.push(self.round, rate);
             self.epoch_bytes = 0;
             self.epoch_start = Some(now);
         }
@@ -136,7 +132,7 @@ impl DelayCc {
         // allowing ack-clocking slack; the probe gain modulates it.
         let target = (2.0 * gain * bdp).max((4 * self.mss) as f64);
         // Startup: until we have bandwidth samples, grow like slow start.
-        self.cwnd = if self.bw_samples.is_empty() {
+        self.cwnd = if self.btl_bw.is_empty() {
             self.cwnd + bytes
         } else {
             target as usize
@@ -150,7 +146,7 @@ impl DelayCc {
 
     /// Repeated PTOs: the model is stale — restart from a modest window.
     pub fn on_persistent_congestion(&mut self) {
-        self.bw_samples.clear();
+        self.btl_bw.clear();
         self.epoch_bytes = 0;
         self.epoch_start = None;
         self.cwnd = 4 * self.mss;

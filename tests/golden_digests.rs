@@ -47,6 +47,71 @@ fn goldens_unchanged_with_profiler_armed() {
             g.name
         );
     }
+
+    // Fleet members step the same session kernel as single sessions, so
+    // their work lands under the same `session.*` spans, nested in the
+    // coordinator's dispatch; `fleet.step` names only the round.
+    let g = voxel::testkit::canonical_fleets()
+        .into_iter()
+        .find(|g| g.name == "fleet-voxel8")
+        .expect("fleet-voxel8 is a canonical fleet");
+    let baseline =
+        voxel::testkit::run_fleet_golden_with_workers(&g, &content, Some(1)).expect("fleet runs");
+    let profiler = voxel::obs::Profiler::with_sample(1);
+    let profiled = {
+        let _armed = profiler.install();
+        voxel::testkit::run_fleet_golden_with_workers(&g, &content, Some(1))
+            .expect("fleet runs under profiler")
+    };
+    assert!(profiled.failures.is_empty(), "{:?}", profiled.failures);
+    assert_eq!(
+        baseline.timeline, profiled.timeline,
+        "fleet timeline changed with the profiler armed"
+    );
+    let report = profiler.report().expect("armed profiler yields a report");
+    let mut edges: Vec<(Vec<&'static str>, &'static str)> = Vec::new();
+    fn walk(
+        nodes: &[voxel::obs::ReportNode],
+        path: &mut Vec<&'static str>,
+        edges: &mut Vec<(Vec<&'static str>, &'static str)>,
+    ) {
+        for n in nodes {
+            edges.push((path.clone(), n.name));
+            path.push(n.name);
+            walk(&n.children, path, edges);
+            path.pop();
+        }
+    }
+    walk(&report.roots, &mut Vec::new(), &mut edges);
+    let parent = |path: &Vec<&'static str>| path.last().copied().unwrap_or("<root>");
+    assert!(
+        edges.iter().any(|(_, name)| *name == "session.step"),
+        "no per-session spans in a profiled fleet"
+    );
+    for (path, name) in &edges {
+        assert_ne!(*name, "fleet.session", "the per-cell span is gone");
+        if *name == "fleet.step" {
+            assert!(
+                !path.contains(&"fleet.step"),
+                "fleet.step nested in a round: {path:?}"
+            );
+        }
+        if parent(path) == "fleet.step" {
+            assert!(
+                name.starts_with("fleet."),
+                "fleet.step has a non-coordinator child {name}"
+            );
+        }
+        if *name == "session.step" {
+            assert_eq!(parent(path), "fleet.pump", "session step outside dispatch");
+        }
+        if name.starts_with("quic.") {
+            assert!(
+                path.iter().any(|p| p.starts_with("session.")),
+                "{name} outside any session span: {path:?}"
+            );
+        }
+    }
 }
 
 /// The congestion-control fleet goldens ride the same bless workflow as
