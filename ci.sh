@@ -23,8 +23,8 @@ cargo test -q --workspace
 echo "==> perfbench parity (traced driver vs Experiment::run_trial, metric names)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test -q --features paranoid (runtime invariant audits)"
-cargo test -q --features paranoid
+echo "==> cargo test -q --workspace with paranoid audits (runtime invariant checks in core/quic/abr/fleet)"
+cargo test -q --workspace --features voxel-core/paranoid,voxel-quic/paranoid,voxel-abr/paranoid,voxel-fleet/paranoid
 
 echo "==> tier-2: conformance sweep (scenario matrix x seeds + golden digests + fleets, DESIGN.md §11-12)"
 VOXEL_SEEDS="${VOXEL_SEEDS:-3}" cargo run -q --release -p voxel-bench --bin conformance
@@ -41,11 +41,8 @@ cargo run -q --release -p voxel-bench --bin cc_shootout -- --smoke
 echo "==> tier-2: edge sweep smoke (hot-cache hit floor + origin fan-in shield, DESIGN.md §16)"
 cargo run -q --release -p voxel-bench --bin edge_sweep -- --smoke
 
-echo "==> perf: criterion smoke (fleet scaling / rangeset / session loop)"
-VOXEL_BENCH_FAST=1 cargo bench -q -p voxel-bench --bench fleet
-
-echo "==> perf: BENCH_5.json shape check + regression compare (>15% below history median fails)"
-cargo run -q --release -p voxel-bench --bin check_bench5 -- --compare
+echo "==> perf: criterion smoke (micro-benches: qoe, prep, video gen, codec, rangeset, cubic, end-to-end trial)"
+VOXEL_BENCH_FAST=1 cargo bench -q -p voxel-bench --bench micro
 
 echo "==> perf: profiler overhead guard (obs_ab, <5% on the session event loop)"
 cargo run -q --release -p voxel-bench --bin obs_ab

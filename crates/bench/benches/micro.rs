@@ -1,6 +1,13 @@
 //! Criterion micro-benchmarks for the hot paths of the reproduction:
 //! QoE evaluation, the offline drop-tolerance analysis, the wire codec,
-//! CUBIC, and a complete end-to-end streaming trial.
+//! RangeSet ACK tracking, CUBIC, and a complete end-to-end streaming
+//! trial. End-to-end and per-layer numbers that gate changes come from
+//! `perfbench/` (see `BENCHMARK.json`).
+//!
+//! ```sh
+//! cargo bench -p voxel-bench --bench micro
+//! VOXEL_BENCH_FAST=1 cargo bench -p voxel-bench --bench micro   # CI smoke
+//! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -70,6 +77,25 @@ fn bench_wire_codec(c: &mut Criterion) {
     });
 }
 
+fn bench_rangeset(c: &mut Criterion) {
+    use voxel_quic::range::RangeSet;
+    // ACK tracking: 1024 scattered inserts over a 60 kB window, then 1024
+    // membership probes and the covered/prefix/gap queries.
+    c.bench_function("rangeset_ack_tracking", |b| {
+        b.iter(|| {
+            let mut rs = RangeSet::new();
+            for i in 0..1024u64 {
+                let start = (i * 7919) % 60_000;
+                rs.insert(start, start + 1200);
+            }
+            let hits = (0..1024u64)
+                .filter(|i| rs.contains((i * 104_729) % 60_000))
+                .count() as u64;
+            black_box(hits + rs.covered_len() + rs.prefix_len() + rs.gaps(60_000).len() as u64)
+        })
+    });
+}
+
 fn bench_cubic(c: &mut Criterion) {
     use voxel_quic::cubic::Cubic;
     use voxel_sim::{SimDuration, SimTime};
@@ -121,6 +147,7 @@ criterion_group!(
     bench_prep_analysis,
     bench_video_generation,
     bench_wire_codec,
+    bench_rangeset,
     bench_cubic,
     bench_end_to_end_trial
 );

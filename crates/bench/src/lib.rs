@@ -16,8 +16,6 @@
 //! the same way regardless of the trial count. `EXPERIMENTS.md` records
 //! which count produced the committed numbers.
 
-pub mod perf;
-
 use voxel_core::experiment::{ContentCache, ExperimentBuilder};
 use voxel_core::metrics::Aggregate;
 use voxel_media::content::VideoId;

@@ -452,8 +452,8 @@ impl Session {
     /// [`Kernel`]).
     ///
     /// Crate-private: external callers route tracing through the one
-    /// [`crate::experiment::Tracing`] entry point (use `Tracing::custom`
-    /// for an explicit tracer).
+    /// [`crate::experiment::Tracing`] entry point, or pass an explicit
+    /// tracer to [`crate::experiment::run_instrumented_trial`].
     pub(crate) fn with_tracer(mut self, tracer: Tracer) -> Session {
         self.kernel.set_tracer(tracer);
         self

@@ -47,7 +47,7 @@ pub mod spec;
 
 pub use edge::{zipf_poisson_arrivals, EdgeReport, EdgeStats, Workload};
 pub use metrics::{jain_index, FleetResult};
-pub use run::{run_experiment_fleet, run_fleet, run_fleet_workload, run_specs};
+pub use run::{run_fleet, run_fleet_workload, run_specs};
 pub use spec::{
     resolve_workers, system_by_name, video_by_name, FleetMember, FleetSpec, Routing, SpecError,
     TopologySpec,

@@ -31,71 +31,31 @@ use crate::spec::{resolve_workers, system_by_name, FleetSpec, TopologySpec};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use voxel_core::client::{PlayerConfig, TransportMode};
-use voxel_core::{AbrKind, ContentCache, Experiment, TrialResult};
+use voxel_core::{AbrKind, ContentCache, TrialResult};
 use voxel_media::content::VideoId;
-use voxel_netem::{BandwidthTrace, Departure, Discipline, SharedLink, SharedLinkConfig};
+use voxel_netem::{Departure, SharedLink, SharedLinkConfig};
 use voxel_quic::{CcKind, ConnectionConfig};
 use voxel_sim::pool::VecPool;
 use voxel_sim::SimTime;
 use voxel_trace::{trace_event, Layer, Tracer};
 
-/// Everything a fleet run needs, resolved from a spec or an experiment.
-/// Videos and start times are per-session (flow order): the spec path
-/// seeds them uniformly (one video, `stagger_s * i` starts) and a
-/// [`Workload`] overrides both — which is how the zipf/Poisson flash
-/// crowd reaches the runtime.
+/// Everything a fleet run needs, resolved from a spec. Videos and start
+/// times are per-session (flow order): the spec seeds them uniformly (one
+/// video, `stagger_s * i` starts) and a [`Workload`] overrides both —
+/// which is how the zipf/Poisson flash crowd reaches the runtime.
 struct Plan {
     spec: String,
     videos: Vec<VideoId>,
     starts: Vec<SimTime>,
     link: SharedLinkConfig,
     buffer_segments: usize,
-    selective_retx: bool,
     cap: SimTime,
     topology: Option<TopologySpec>,
     workers: Option<usize>,
     systems: Vec<(String, AbrKind, TransportMode, CcKind)>,
 }
 
-/// The one assembly point both construction paths go through, so spec
-/// runs and builder (`Experiment`) runs cannot drift on how a knob — the
-/// scheduling discipline in particular — reaches the link.
-#[allow(clippy::too_many_arguments)]
-struct PlanParams {
-    spec: String,
-    video: VideoId,
-    trace: BandwidthTrace,
-    queue_packets: usize,
-    discipline: Discipline,
-    buffer_segments: usize,
-    selective_retx: bool,
-    cap_s: Option<usize>,
-    duration_s: usize,
-    stagger_s: usize,
-    topology: Option<TopologySpec>,
-    workers: Option<usize>,
-    systems: Vec<(String, AbrKind, TransportMode, CcKind)>,
-}
-
 impl Plan {
-    fn assemble(p: PlanParams) -> Plan {
-        let n = p.systems.len();
-        Plan {
-            spec: p.spec,
-            videos: vec![p.video; n],
-            starts: (0..n)
-                .map(|i| SimTime::from_secs((p.stagger_s * i) as u64))
-                .collect(),
-            link: SharedLinkConfig::new(p.trace, p.queue_packets, p.discipline),
-            buffer_segments: p.buffer_segments,
-            selective_retx: p.selective_retx,
-            cap: cap_for(p.cap_s, p.duration_s),
-            topology: p.topology,
-            workers: p.workers,
-            systems: p.systems,
-        }
-    }
-
     fn from_spec(spec: &FleetSpec) -> Result<Plan, String> {
         let mut systems = Vec::with_capacity(spec.total_sessions());
         for m in spec.session_members() {
@@ -106,45 +66,19 @@ impl Plan {
         if systems.is_empty() {
             return Err("fleet has no sessions".to_string());
         }
-        Ok(Plan::assemble(PlanParams {
+        let n = systems.len();
+        Ok(Plan {
             spec: spec.spec(),
-            video: spec.video,
-            trace: spec.trace(),
-            queue_packets: spec.queue_packets,
-            discipline: spec.discipline,
+            videos: vec![spec.video; n],
+            starts: (0..n)
+                .map(|i| SimTime::from_secs((spec.stagger_s * i) as u64))
+                .collect(),
+            link: SharedLinkConfig::new(spec.trace(), spec.queue_packets, spec.discipline),
             buffer_segments: spec.buffer_segments,
-            selective_retx: true,
-            cap_s: spec.cap_s,
-            duration_s: spec.duration_s,
-            stagger_s: spec.stagger_s,
+            cap: cap_for(spec.cap_s, spec.duration_s),
             topology: spec.edge.clone(),
             workers: spec.workers,
             systems,
-        }))
-    }
-
-    fn from_experiment(e: &Experiment) -> Plan {
-        let c = e.config();
-        let label = c.abr.label();
-        Plan::assemble(PlanParams {
-            spec: format!(
-                "experiment:{}x{}:{}",
-                e.fleet_size(),
-                label,
-                c.discipline.as_str()
-            ),
-            video: c.video,
-            trace: c.trace.clone(),
-            queue_packets: c.queue_packets,
-            discipline: c.discipline,
-            buffer_segments: c.buffer_segments,
-            selective_retx: c.selective_retx,
-            cap_s: None,
-            duration_s: c.trace.duration_s(),
-            stagger_s: 0,
-            topology: None,
-            workers: c.workers,
-            systems: vec![(label, c.abr, c.transport, c.cc); e.fleet_size()],
         })
     }
 }
@@ -192,14 +126,6 @@ pub fn run_fleet_workload(
     Ok(run_plan(plan, cache, tracer))
 }
 
-/// Run a homogeneous fleet built from an [`Experiment`] (the builder's
-/// `.fleet(n)` knob): `n` copies of the experiment's session share one
-/// link, scheduled by the experiment's discipline, carrying the
-/// experiment's trace.
-pub fn run_experiment_fleet(e: &Experiment, cache: &ContentCache, tracer: Tracer) -> FleetResult {
-    run_plan(Plan::from_experiment(e), cache, tracer)
-}
-
 /// Run many independent fleet specs on the work-stealing pool (untraced);
 /// results come back in spec order.
 pub fn run_specs(specs: &[FleetSpec], cache: &ContentCache) -> Vec<Result<FleetResult, String>> {
@@ -228,7 +154,7 @@ fn run_plan(plan: Plan, cache: &ContentCache, tracer: Tracer) -> FleetResult {
     for (i, (label, abr, transport, cc)) in plan.systems.iter().enumerate() {
         let (manifest, video) = cache.get(plan.videos[i]);
         let mut player = PlayerConfig::new(plan.buffer_segments, *transport);
-        player.selective_retx = plan.selective_retx && *transport == TransportMode::Split;
+        player.selective_retx = *transport == TransportMode::Split;
         seeds.push(SessionSeed {
             flow: i,
             label: label.clone(),
@@ -647,7 +573,6 @@ fn emit_session_end(tracer: &Tracer, f: &FinishNote) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voxel_core::Experiment;
     use voxel_netem::Discipline;
 
     #[test]
@@ -665,27 +590,8 @@ mod tests {
         }
     }
 
-    /// Regression (discipline alignment): both plan construction paths
-    /// flow through `Plan::assemble`, so the experiment path honours the
-    /// configured discipline instead of hard-coding DRR.
-    #[test]
-    fn experiment_plan_honours_configured_discipline() {
-        let fifo = Experiment::builder()
-            .fleet(2)
-            .discipline(Discipline::Fifo)
-            .build();
-        let plan = Plan::from_experiment(&fifo);
-        assert_eq!(plan.link.discipline, Discipline::Fifo);
-        assert!(plan.spec.ends_with(":fifo"), "spec = {}", plan.spec);
-
-        let default = Experiment::builder().fleet(2).build();
-        let plan = Plan::from_experiment(&default);
-        assert_eq!(plan.link.discipline, Discipline::drr());
-        assert!(plan.spec.ends_with(":drr"), "spec = {}", plan.spec);
-    }
-
-    /// Regression: the spec path likewise takes its discipline from the
-    /// parsed spec, through the same constructor.
+    /// Regression: the plan takes its discipline from the parsed spec
+    /// instead of hard-coding DRR.
     #[test]
     fn spec_plan_honours_parsed_discipline() {
         let spec = FleetSpec::parse("BBB:2xVOXEL:const6:buf3:q64:d60:fifo").unwrap();
@@ -703,21 +609,5 @@ mod tests {
         assert_eq!(ccs, [CcKind::Bbr, CcKind::Bbr, CcKind::Cubic]);
         let labels: Vec<&str> = plan.systems.iter().map(|s| s.0.as_str()).collect();
         assert_eq!(labels, ["VOXEL@bbr", "VOXEL@bbr", "VOXEL"]);
-    }
-
-    /// The builder path replicates the experiment's cc across the fleet.
-    #[test]
-    fn experiment_plan_carries_cc() {
-        let e = Experiment::builder().fleet(2).cc(CcKind::Delay).build();
-        let plan = Plan::from_experiment(&e);
-        assert!(plan.systems.iter().all(|s| s.3 == CcKind::Delay));
-    }
-
-    #[test]
-    fn experiment_plan_carries_workers_knob() {
-        let e = Experiment::builder().fleet(4).workers(2).build();
-        let plan = Plan::from_experiment(&e);
-        assert_eq!(plan.workers, Some(2));
-        assert_eq!(resolve_workers(plan.workers, 4), 2);
     }
 }

@@ -101,11 +101,6 @@ impl SourceFile {
         }
     }
 
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.line_spans.len().saturating_sub(1)
-    }
-
     /// Is `lineno` inside a `#[cfg(test)]` item (attribute lines included)?
     pub fn is_test(&self, lineno: usize) -> bool {
         self.items.iter().any(|it| it.cfg_test && it.covers(lineno))

@@ -265,11 +265,6 @@ impl Connection {
         self.recv_streams.get_mut(&id)
     }
 
-    /// Access a send stream (e.g. to check completion).
-    pub fn send_stream(&mut self, id: StreamId) -> Option<&mut SendStream> {
-        self.send_streams.get_mut(&id)
-    }
-
     /// Close the connection with an application error code.
     pub fn close(&mut self, code: u64) {
         if !self.closed {
@@ -760,14 +755,6 @@ impl Connection {
             }
         }
         self.debug_invariants();
-    }
-
-    /// Whether any stream still has data to send or awaiting ack.
-    pub fn is_idle(&self) -> bool {
-        self.send_streams
-            .values()
-            .all(|s| s.is_complete() || s.is_drained())
-            && self.loss.outstanding() == 0
     }
 }
 

@@ -122,11 +122,6 @@ impl SendStream {
         self.max_stream_data = self.max_stream_data.max(limit);
     }
 
-    /// Bytes the app has written but that were never sent yet.
-    pub fn unsent_bytes(&self) -> u64 {
-        self.buffer.len() as u64 - self.next_send
-    }
-
     /// Whether the stream has anything to put on the wire right now.
     pub fn wants_to_send(&self) -> bool {
         if !self.retransmit.is_empty() {
@@ -389,11 +384,6 @@ impl RecvStream {
     /// (unreliable delivery: the app assembles and zero-pads).
     pub fn take_received(&mut self) -> Vec<(u64, Bytes)> {
         std::mem::take(&mut self.chunks).into_iter().collect()
-    }
-
-    /// Received ranges, for inspection.
-    pub fn received_ranges(&self) -> Vec<(u64, u64)> {
-        self.received.iter().collect()
     }
 
     /// Structural audit: the read cursor never outruns the contiguous

@@ -453,18 +453,6 @@ impl Scenario {
         self.faults = faults;
         self
     }
-
-    /// Builder: arm a canary.
-    pub fn with_inject(mut self, inject: Inject) -> Scenario {
-        self.inject = Some(inject);
-        self
-    }
-
-    /// Builder: override the oracle bounds.
-    pub fn with_bounds(mut self, bounds: crate::oracle::Bounds) -> Scenario {
-        self.bounds = Some(bounds);
-        self
-    }
 }
 
 /// A cartesian product of scenario axes, from a one-line spec:

@@ -54,9 +54,8 @@ pub mod prelude {
         Experiment, ExperimentBuilder, Tracing, TransportStats, TrialResult,
     };
     pub use crate::fleet::{
-        jain_index, run_experiment_fleet, run_fleet, run_fleet_workload, run_specs,
-        zipf_poisson_arrivals, EdgeReport, FleetMember, FleetResult, FleetSpec, Routing, SpecError,
-        TopologySpec, Workload,
+        jain_index, run_fleet, run_fleet_workload, run_specs, zipf_poisson_arrivals, EdgeReport,
+        FleetMember, FleetResult, FleetSpec, Routing, SpecError, TopologySpec, Workload,
     };
     pub use crate::media::content::VideoId;
     pub use crate::media::ladder::QualityLevel;
